@@ -4,18 +4,18 @@
 // Fig. 10(a): batch query latency with vs without cache, growing N.
 // Fig. 10(b): cache granularity ablation (No / Scope / Path / Both).
 // Fig. 11:    cache pool size sweep under LFU and LRU.
-// Extras:     simulated LPT makespan, real threaded wall-clock speedup,
-//             and the label-index / similarity-memo ablation.
+// Extras:     simulated LPT makespan and the label-index /
+//             similarity-memo ablation.
 //
 // The Fig. 10/11 sections run the *paper's* cost model (label index and
 // similarity memos off) so the reproduced percentages stay comparable
-// across PRs; the extra sections measure the indexed/memoized engine.
+// across PRs; the ablation section also measures the indexed/memoized
+// engine. Every record is virtual-time deterministic; host wall time
+// and heap traffic ride along as machine-dependent extras.
 //
-// Flags: --workers N   max worker count for the parallel sections (8)
+// Flags: --workers N   max worker count for the simulated section (8)
 //        --json PATH   machine-readable output ("BENCH_exp5.json";
 //                      pass "" to disable)
-//        --pace MICROS threaded-mode pacing, host micros slept per
-//                      virtual second (default 200000)
 
 #include <cstdio>
 #include <cstdlib>
@@ -33,28 +33,16 @@ using namespace svqa;
 
 /// The paper's §V cost model: every matchVertex is charged as a full
 /// merged-graph scan and every maxScore as a full embedding sweep.
-/// Frozen execution is off here and in IndexedModel so the historical
-/// record series keeps measuring the mutable read path.
 exec::ExecutorOptions PaperModel() {
   exec::ExecutorOptions opts;
   opts.matcher.use_label_index = false;
   opts.matcher.memoize_similarity = false;
   opts.memoize_similarity = false;
-  opts.use_frozen_graph = false;
   return opts;
 }
 
-/// The indexed/memoized engine on the mutable graph — the baseline the
-/// frozen section below is judged against.
-exec::ExecutorOptions IndexedModel() {
-  exec::ExecutorOptions opts;
-  opts.use_frozen_graph = false;
-  return opts;
-}
-
-/// The engine this repo ships by default: indexed, memoized, and
-/// executing in id space against the compiled CSR snapshot.
-exec::ExecutorOptions FrozenModel() { return exec::ExecutorOptions{}; }
+/// The engine this repo ships by default: indexed and memoized.
+exec::ExecutorOptions IndexedModel() { return exec::ExecutorOptions{}; }
 
 struct RunConfig {
   int n = 100;
@@ -126,8 +114,6 @@ int main(int argc, char** argv) {
 
   const auto max_workers = static_cast<std::size_t>(
       std::atoi(bench::FlagValue(argc, argv, "--workers", "8").c_str()));
-  const double pace = std::atof(
-      bench::FlagValue(argc, argv, "--pace", "200000").c_str());
   bench::JsonEmitter json(
       bench::FlagValue(argc, argv, "--json", "BENCH_exp5.json"));
 
@@ -245,46 +231,10 @@ int main(int argc, char** argv) {
               "so the cache warms identically)\n");
 
   // ------------------------------------------------------------------
-  Banner("Threaded execution: measured wall-clock makespan (paced)");
-  std::printf("%8s %14s %14s %10s %9s\n", "workers", "wall(ms)",
-              "makespan(s)", "speedup", "hit rate");
-  Rule();
-  double wall_serial = 0;
-  for (std::size_t w = 1; w <= max_workers; w *= 2) {
-    RunConfig config;
-    config.cache.capacity = 100;
-    config.executor = IndexedModel();
-    config.batch.mode = exec::BatchMode::kThreaded;
-    config.batch.num_workers = w;
-    config.batch.pace_micros_per_virtual_second = pace;
-    const RunOutput out = RunBatch(dataset, merged, embeddings, config);
-    const double wall_ms = out.result.wall_micros / 1e3;
-    if (w == 1) wall_serial = wall_ms;
-    std::printf("%8zu %14.1f %14.1f %9.2fx %8.1f%%\n", w, wall_ms,
-                out.result.total_micros / 1e6, wall_serial / wall_ms,
-                100.0 * out.hit_rate);
-    bench::JsonRecord rec;
-    rec.name = "exp5/threaded";
-    rec.workers = w;
-    rec.cache_policy = exec::CachePolicyName(config.cache.policy);
-    rec.total_micros = out.result.total_micros;
-    rec.wall_micros = out.result.wall_micros;
-    rec.hit_rate = out.hit_rate;
-    rec.Extra("pace_micros_per_virtual_second", pace);
-    json.Add(rec);
-  }
-  std::printf(
-      "(one shared executor+cache across util::ThreadPool workers; "
-      "pacing holds each worker\nfor its query's virtual latency, so the "
-      "wall makespan measures real thread overlap\nindependently of host "
-      "core count)\n");
-
-  // ------------------------------------------------------------------
   Banner("Label index / similarity memo ablation (N=100, serial)");
   std::printf("%-22s %12s %16s %16s\n", "Config", "Latency(s)",
               "vertex cmps", "embedding sims");
   Rule();
-  RunOutput mutable_baseline;  // index_on + cache: the frozen comparator
   for (const bool cache_on : {false, true}) {
     for (const bool index_on : {false, true}) {
       RunConfig config;
@@ -292,7 +242,6 @@ int main(int argc, char** argv) {
       config.cache.capacity = 100;
       config.executor = index_on ? IndexedModel() : PaperModel();
       const RunOutput out = RunBatch(dataset, merged, embeddings, config);
-      if (cache_on && index_on) mutable_baseline = out;
       const double vertex_ops =
           out.result.ops.OpCount(CostKind::kVertexCompare);
       const double sim_ops =
@@ -323,46 +272,6 @@ int main(int argc, char** argv) {
       "(the inverted label index turns matchVertex scans into bucket "
       "probes; the memo turns\nrepeated maxScore sweeps into one probe "
       "per distinct predicate/constraint)\n");
-
-  // ------------------------------------------------------------------
-  Banner("Frozen snapshot execution: CSR + interning vs mutable (N=100)");
-  std::printf("%-22s %12s %14s %16s\n", "Config", "virtual(s)", "wall(ms)",
-              "bytes allocated");
-  Rule();
-  {
-    RunConfig config;
-    config.cache.capacity = 100;
-    config.executor = FrozenModel();
-    const RunOutput out = RunBatch(dataset, merged, embeddings, config);
-    std::printf("%-22s %12.1f %14.1f %16.0f\n", "mutable (index+cache)",
-                mutable_baseline.result.total_micros / 1e6,
-                mutable_baseline.result.wall_micros / 1e3,
-                mutable_baseline.bytes_allocated);
-    std::printf("%-22s %12.1f %14.1f %16.0f\n", "frozen (index+cache)",
-                out.result.total_micros / 1e6, out.result.wall_micros / 1e3,
-                out.bytes_allocated);
-    std::printf(
-        "(wall %.2fx lower, allocations %.2fx fewer; charged virtual "
-        "time identical by construction —\nsee "
-        "tests/frozen_equivalence_test.cc)\n",
-        mutable_baseline.result.wall_micros / out.result.wall_micros,
-        mutable_baseline.bytes_allocated / out.bytes_allocated);
-    bench::JsonRecord rec;
-    rec.name = "exp5/frozen";
-    rec.workers = 1;
-    rec.cache_policy = exec::CachePolicyName(config.cache.policy);
-    rec.total_micros = out.result.total_micros;
-    rec.wall_micros = out.result.wall_micros;
-    rec.hit_rate = out.hit_rate;
-    rec.Extra("vertex_compare_ops",
-              out.result.ops.OpCount(CostKind::kVertexCompare));
-    rec.Extra("levenshtein_ops",
-              out.result.ops.OpCount(CostKind::kLevenshtein));
-    rec.Extra("embedding_sim_ops",
-              out.result.ops.OpCount(CostKind::kEmbeddingSim));
-    rec.Extra("bytes_allocated", out.bytes_allocated);
-    json.Add(rec);
-  }
 
   return json.Flush() ? 0 : 1;
 }

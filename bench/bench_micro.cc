@@ -277,32 +277,14 @@ void BM_TraversalFrozen(benchmark::State& state) {
 }
 BENCHMARK(BM_TraversalFrozen);
 
-// matchVertex with the indexed cost model vs the paper's full-scan
-// model. Exact keys resolve through the inverted index either way
-// (what differs is the *charged* virtual cost — see bench_exp5's
-// ablation); the near-miss variant below is where the host actually
-// pays the Levenshtein fallback scan.
-void BM_VertexMatchIndexed(benchmark::State& state) {
-  const auto* fixture = GetMatchFixture();
-  exec::VertexMatcher matcher(&fixture->merged, &fixture->embeddings);
-  nlp::SpocElement el;
-  el.head = "animal";
-  el.text = "animal";
-  const auto allocs = bench::AllocsNow();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(matcher.Match(el));
-  }
-  ReportAllocs(state, allocs);
-}
-BENCHMARK(BM_VertexMatchIndexed);
-
-// Same matcher wired to the frozen CSR snapshot: id-space equality and
-// interned near-miss memos instead of string compares.
+// matchVertex on the snapshot with the indexed cost model vs the
+// paper's full-scan model. Exact keys resolve through the inverted index
+// either way (what differs is the *charged* virtual cost — see
+// bench_exp5's ablation): id-space equality and interned near-miss memos
+// instead of string compares.
 void BM_VertexMatchFrozen(benchmark::State& state) {
   const auto* fixture = GetMatchFixture();
-  exec::VertexMatcher matcher(&fixture->merged, &fixture->embeddings,
-                              exec::VertexMatcherOptions{},
-                              fixture->frozen.get());
+  exec::VertexMatcher matcher(fixture->frozen.get(), &fixture->embeddings);
   nlp::SpocElement el;
   el.head = "animal";
   el.text = "animal";
@@ -319,7 +301,8 @@ void BM_VertexMatchFullScan(benchmark::State& state) {
   exec::VertexMatcherOptions mopts;
   mopts.use_label_index = false;
   mopts.memoize_similarity = false;
-  exec::VertexMatcher matcher(&fixture->merged, &fixture->embeddings, mopts);
+  exec::VertexMatcher matcher(fixture->frozen.get(), &fixture->embeddings,
+                              mopts);
   nlp::SpocElement el;
   el.head = "animal";
   el.text = "animal";
@@ -329,30 +312,13 @@ void BM_VertexMatchFullScan(benchmark::State& state) {
 }
 BENCHMARK(BM_VertexMatchFullScan);
 
-// Near-miss token ("dogg"): the index cannot answer, so even the
-// indexed matcher pays the Levenshtein fallback scan.
-void BM_VertexMatchIndexedNearMiss(benchmark::State& state) {
-  const auto* fixture = GetMatchFixture();
-  exec::VertexMatcher matcher(&fixture->merged, &fixture->embeddings);
-  nlp::SpocElement el;
-  el.head = "dogg";
-  el.text = "dogg";
-  const auto allocs = bench::AllocsNow();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(matcher.Match(el));
-  }
-  ReportAllocs(state, allocs);
-}
-BENCHMARK(BM_VertexMatchIndexedNearMiss);
-
-// The frozen matcher memoizes the near-miss scan per canonical key, so
-// steady-state probes skip the Levenshtein sweep entirely (the charged
-// virtual cost is identical — only the host work disappears).
+// Near-miss token ("dogg"): the index cannot answer, so the Levenshtein
+// fallback scan is charged. The matcher memoizes the scan per canonical
+// key, so steady-state probes skip the host sweep entirely (the charged
+// virtual cost is unchanged — only the host work disappears).
 void BM_VertexMatchFrozenNearMiss(benchmark::State& state) {
   const auto* fixture = GetMatchFixture();
-  exec::VertexMatcher matcher(&fixture->merged, &fixture->embeddings,
-                              exec::VertexMatcherOptions{},
-                              fixture->frozen.get());
+  exec::VertexMatcher matcher(fixture->frozen.get(), &fixture->embeddings);
   nlp::SpocElement el;
   el.head = "dogg";
   el.text = "dogg";

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <thread>
 
 namespace svqa::exec {
 
@@ -81,7 +80,6 @@ void BatchExecutor::ExecuteThreaded(
   // beyond the atomic cursor.
   std::vector<SimClock> clocks(graphs.size());
   std::atomic<std::size_t> cursor{0};
-  const double pace = options_.pace_micros_per_virtual_second;
   pool->ParallelFor(workers, [&](std::size_t w) {
     for (;;) {
       const std::size_t pos = cursor.fetch_add(1, std::memory_order_relaxed);
@@ -104,12 +102,6 @@ void BatchExecutor::ExecuteThreaded(
       if (r.ok()) outcome.answer = *r;
       outcome.latency_micros = clock.ElapsedMicros();
       result->worker_micros[w] += outcome.latency_micros;
-      if (pace > 0) {
-        // Hold the worker for the latency its query charged, so the
-        // measured wall makespan reflects the modeled concurrency.
-        std::this_thread::sleep_for(std::chrono::duration<double, std::micro>(
-            outcome.latency_micros * pace / 1e6));
-      }
     }
   });
 

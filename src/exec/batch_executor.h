@@ -60,13 +60,6 @@ struct BatchOptions {
   /// real thread-pool size.
   std::size_t num_workers = 1;
   BatchMode mode = BatchMode::kSimulated;
-  /// Latency pacing for kThreaded mode: host microseconds each worker
-  /// sleeps per *virtual second* its query charged (0 = off). Pacing
-  /// makes the measured wall-clock makespan track the virtual cost
-  /// model, so thread-overlap speedups are observable on any host —
-  /// including single-core CI — instead of depending on how many
-  /// physical cores happen to back the pool.
-  double pace_micros_per_virtual_second = 0;
   /// Per-query deadline, retry, fault-injection, and cancellation knobs.
   /// Each query runs under its own deadline on its own clock; the retry
   /// jitter is salted with the query's input index, so the schedule is a

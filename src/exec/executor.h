@@ -15,6 +15,7 @@
 #include "exec/vertex_matcher.h"
 #include "query/query_graph.h"
 #include "text/embedding.h"
+#include "util/arena.h"
 #include "util/cancellation.h"
 #include "util/exec_context.h"
 #include "util/fault_injector.h"
@@ -140,16 +141,10 @@ struct ExecutorOptions {
   /// candidate. Disable (together with matcher.memoize_similarity) for
   /// strictly per-query-deterministic virtual latencies.
   bool memoize_similarity = true;
-  /// Execute against a compiled FrozenGraph snapshot (CSR adjacency,
-  /// interned symbols, id-space comparisons, arena-backed scratch)
-  /// instead of the mutable merged graph. Answers, charged virtual costs
-  /// (`total_micros`), and cache hit/miss sequences are byte-identical
-  /// either way — only host wall time and allocation volume change.
-  /// Disable for the mutable-path ablation baseline.
-  bool use_frozen_graph = true;
 };
 
-/// \brief Algorithm 3: executes a query graph over the merged graph.
+/// \brief Algorithm 3: executes a query graph over the merged graph's
+/// compiled snapshot.
 ///
 /// Vertices are processed in dependency order (producers first). Each
 /// vertex resolves its subject/object scopes (through the scope cache or
@@ -158,20 +153,27 @@ struct ExecutorOptions {
 /// the constraint, and pushes the surviving bindings into its consumers.
 /// The main clause (vertex 0) yields the final answer.
 ///
+/// One read path: the executor reads only a `graph::FrozenGraph` (CSR
+/// adjacency, interned symbols, id-space comparisons, arena-backed
+/// per-query scratch); the mutable `graph::Graph` is never consulted.
+/// `tests/frozen_equivalence_test.cc` holds answers to a naive reference
+/// evaluator that runs Algorithm 3 over the mutable graph, and pins the
+/// charged virtual costs and cache counters.
+///
 /// Thread-safety: `Execute` is safe for concurrent calls from batch
-/// workers sharing one executor — the merged graph and embeddings are
+/// workers sharing one executor — the snapshot and embeddings are
 /// immutable, the key-centric cache is internally locked, and the
 /// maxScore memos are thread-safe MemoCaches. Each worker must own its
 /// `SimClock`.
 class QueryGraphExecutor {
  public:
+  /// \param merged the merged graph to compile when no `frozen` snapshot
+  /// is passed; not retained.
   /// \param cache optional key-centric cache shared across queries; pass
   /// nullptr for the cache-less configuration.
   /// \param frozen optional precompiled snapshot of `merged->graph`
   /// (e.g. compiled once by the snapshot store and pinned across the
-  /// executors sharing it). With `options.use_frozen_graph` set and no
-  /// snapshot passed, the constructor compiles one itself; with the
-  /// option cleared the argument is ignored and the mutable path runs.
+  /// executors sharing it); the constructor compiles one when omitted.
   QueryGraphExecutor(const aggregator::MergedGraph* merged,
                      const text::EmbeddingModel* embeddings,
                      KeyCentricCache* cache = nullptr,
@@ -206,7 +208,8 @@ class QueryGraphExecutor {
 
   /// Degraded execution (ladder rung 2): answers from the main clause's
   /// cached relation-pair subgraph alone — a synonym-only predicate
-  /// filter over the cached pairs, no scans, no embedding sweeps.
+  /// filter (PredicateVerdicts) over the cached pairs, no scans, no
+  /// embedding sweeps.
   /// Returns nullopt when there is no cache, no cached entry for the
   /// main clause, or nothing survives the filter.
   std::optional<Answer> ExecuteFromCache(const query::QueryGraph& gq,
@@ -214,49 +217,42 @@ class QueryGraphExecutor {
 
   const VertexMatcher& matcher() const { return matcher_; }
   KeyCentricCache* cache() const { return cache_; }
-  /// The snapshot this executor runs against (nullptr on the mutable
-  /// path).
-  const graph::FrozenGraph* frozen() const { return frozen_.get(); }
 
   /// The stable path-cache key for a vertex's relation-pair query.
   static std::string PathKey(const nlp::Spoc& spoc);
 
  private:
-  Result<std::vector<graph::VertexId>> ResolveScope(
-      const nlp::SpocElement& element, const ExecContext& ctx) const;
-  /// Frozen-path scope resolution: a cache hit hands back the shared
-  /// entry itself; a miss stores the freshly matched scope once and
-  /// shares it. Same keys, charges, and hit/miss sequence as
-  /// ResolveScope.
+  /// Per-query surviving-pair buffer, bump-allocated from the query's
+  /// arena.
+  using PairBuffer = util::ArenaVector<RelationPair>;
+
+  /// Scope resolution: a cache hit hands back the shared entry itself; a
+  /// miss stores the freshly matched scope once and shares it.
   Result<ScopeValue> ResolveScopeShared(const nlp::SpocElement& element,
                                         const ExecContext& ctx) const;
   /// maxScore over the merged graph's edge labels (Algorithm 3 line 8).
   Result<std::string> MatchPredicateLabel(const std::string& predicate,
                                           const ExecContext& ctx) const;
-  /// Frozen path: per-edge-label-id verdict of the synonym filter
-  /// (label == predicate or lexicon synonym), memoized per predicate so
-  /// the per-pair filter is one indexed byte load.
+  /// Per-edge-label-id verdict of the synonym filter (label == predicate
+  /// or lexicon synonym), memoized per predicate so the per-pair filter
+  /// is one indexed byte load.
   std::shared_ptr<const std::vector<uint8_t>> PredicateVerdicts(
       const std::string& predicate) const;
-  /// Constraint filter over any RelationPair vector type. The frozen
-  /// path passes an arena-backed vector so the surviving-pair buffer
-  /// bump-allocates from per-query scratch; the mutable path keeps heap
-  /// vectors. Instantiated in executor.cc for both vector types.
-  template <typename PairVec>
-  Result<PairVec> ApplyConstraint(PairVec pairs, const std::string& constraint,
-                                  const ExecContext& ctx) const;
+  /// Constraint filter over the arena-backed surviving-pair buffer.
+  Result<PairBuffer> ApplyConstraint(PairBuffer pairs,
+                                     const std::string& constraint,
+                                     const ExecContext& ctx) const;
   Answer MakeAnswer(const query::QueryGraph& gq, const nlp::Spoc& spoc,
                     std::span<const RelationPair> pairs) const;
-  std::string NormalizeVertexAnswer(graph::VertexId v, bool want_kind) const;
-  /// Frozen equivalent of NormalizeVertexAnswer: the interned symbol of
-  /// the normalized answer text (bijective with the string).
+  /// The interned symbol of a vertex's normalized answer text: its
+  /// category when the kind is wanted or the label is an anonymous
+  /// detection ("dog#3"), its label otherwise.
   graph::SymbolId NormalizeAnswerSymbol(graph::VertexId v,
                                         bool want_kind) const;
 
-  const aggregator::MergedGraph* merged_;
   const text::EmbeddingModel* embeddings_;
-  /// Compiled snapshot (nullptr on the mutable path). Declared before
-  /// the matcher, which borrows the raw pointer.
+  /// Compiled snapshot. Declared before the matcher, which borrows the
+  /// raw pointer.
   std::shared_ptr<const graph::FrozenGraph> frozen_;
   VertexMatcher matcher_;
   KeyCentricCache* cache_;
@@ -265,7 +261,7 @@ class QueryGraphExecutor {
   mutable MemoCache<std::string, std::string> predicate_label_memo_;
   /// Constraint phrase -> resolved spec memo.
   mutable MemoCache<std::string, ConstraintSpec> constraint_memo_;
-  /// Frozen path: predicate -> per-label-id synonym-filter verdicts.
+  /// Predicate -> per-label-id synonym-filter verdicts.
   mutable MemoCache<std::string, std::shared_ptr<const std::vector<uint8_t>>>
       predicate_verdict_memo_;
 };

@@ -72,33 +72,6 @@ void KeyCentricCache::PutPathShared(const std::string& key, PathValue value) {
   }
 }
 
-std::optional<std::vector<graph::VertexId>> KeyCentricCache::GetScope(
-    const std::string& key, SimClock* clock) {
-  auto hit = GetScopeShared(key, clock);
-  if (!hit.has_value()) return std::nullopt;
-  return **hit;  // copy out: the caller owns a mutable vector
-}
-
-void KeyCentricCache::PutScope(const std::string& key,
-                               std::vector<graph::VertexId> value) {
-  PutScopeShared(
-      key, std::make_shared<const std::vector<graph::VertexId>>(
-               std::move(value)));
-}
-
-std::optional<std::vector<RelationPair>> KeyCentricCache::GetPath(
-    const std::string& key, SimClock* clock) {
-  auto hit = GetPathShared(key, clock);
-  if (!hit.has_value()) return std::nullopt;
-  return **hit;
-}
-
-void KeyCentricCache::PutPath(const std::string& key,
-                              std::vector<RelationPair> value) {
-  PutPathShared(key, std::make_shared<const std::vector<RelationPair>>(
-                         std::move(value)));
-}
-
 std::optional<ScopeValue> KeyCentricCache::GetScopeShared(
     const std::string& key, const ExecContext& ctx) {
   if (!ctx.ProbeFault(FaultSite::kCacheOp, key).ok()) {
@@ -143,37 +116,6 @@ void KeyCentricCache::PutPathShared(const std::string& key, PathValue value,
     return;
   }
   PutPathShared(key, std::move(value));
-}
-
-std::optional<std::vector<graph::VertexId>> KeyCentricCache::GetScope(
-    const std::string& key, const ExecContext& ctx) {
-  auto hit = GetScopeShared(key, ctx);
-  if (!hit.has_value()) return std::nullopt;
-  return **hit;
-}
-
-void KeyCentricCache::PutScope(const std::string& key,
-                               std::vector<graph::VertexId> value,
-                               const ExecContext& ctx) {
-  PutScopeShared(key,
-                 std::make_shared<const std::vector<graph::VertexId>>(
-                     std::move(value)),
-                 ctx);
-}
-
-std::optional<std::vector<RelationPair>> KeyCentricCache::GetPath(
-    const std::string& key, const ExecContext& ctx) {
-  auto hit = GetPathShared(key, ctx);
-  if (!hit.has_value()) return std::nullopt;
-  return **hit;
-}
-
-void KeyCentricCache::PutPath(const std::string& key,
-                              std::vector<RelationPair> value,
-                              const ExecContext& ctx) {
-  PutPathShared(key, std::make_shared<const std::vector<RelationPair>>(
-                         std::move(value)),
-                ctx);
 }
 
 cache::CacheStats KeyCentricCache::ScopeStats() const {

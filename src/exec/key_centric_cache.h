@@ -34,8 +34,8 @@ struct KeyCentricCacheOptions {
   bool enable_path = true;
 };
 
-/// Shared immutable cache values: readers on the frozen path hold the
-/// entry itself instead of copying vectors out per probe.
+/// Shared immutable cache values: readers hold the entry itself instead
+/// of copying vectors out per probe.
 using ScopeValue = std::shared_ptr<const std::vector<graph::VertexId>>;
 using PathValue = std::shared_ptr<const std::vector<RelationPair>>;
 
@@ -52,9 +52,8 @@ using PathValue = std::shared_ptr<const std::vector<RelationPair>>;
 /// stay keyed by the string (the injector's site/key hashing is part of
 /// the observable model).
 ///
-/// Values are immutable `shared_ptr` vectors: `Get*Shared` hands the
-/// entry out without copying (the frozen read path), while the legacy
-/// `Get*` copy-out overloads remain for callers that mutate.
+/// Values are immutable `shared_ptr` vectors handed out without copying:
+/// a hit shares the entry with the cache and with any concurrent reader.
 ///
 /// Thread-safe by composition: `options_` is immutable after
 /// construction, the interner and each policy store are internally
@@ -66,18 +65,8 @@ class KeyCentricCache {
  public:
   explicit KeyCentricCache(KeyCentricCacheOptions options = {});
 
-  /// Scope lookup; copies the hit out (the caller mutates freely).
-  std::optional<std::vector<graph::VertexId>> GetScope(
-      const std::string& key, SimClock* clock = nullptr);
-  void PutScope(const std::string& key, std::vector<graph::VertexId> value);
-
-  /// Path lookup.
-  std::optional<std::vector<RelationPair>> GetPath(
-      const std::string& key, SimClock* clock = nullptr);
-  void PutPath(const std::string& key, std::vector<RelationPair> value);
-
-  /// Zero-copy lookups: the returned entry is shared with the cache (and
-  /// any concurrent reader) and must be treated as immutable.
+  /// Lookups return the entry shared with the cache (and any concurrent
+  /// reader); it must be treated as immutable.
   std::optional<ScopeValue> GetScopeShared(const std::string& key,
                                            SimClock* clock = nullptr);
   void PutScopeShared(const std::string& key, ScopeValue value);
@@ -91,14 +80,6 @@ class KeyCentricCache {
   /// *degrades* rather than fails — a Get becomes a charged miss and a
   /// Put drops the write — because a flaky cache must slow queries down,
   /// never take them down.
-  std::optional<std::vector<graph::VertexId>> GetScope(const std::string& key,
-                                                       const ExecContext& ctx);
-  void PutScope(const std::string& key, std::vector<graph::VertexId> value,
-                const ExecContext& ctx);
-  std::optional<std::vector<RelationPair>> GetPath(const std::string& key,
-                                                   const ExecContext& ctx);
-  void PutPath(const std::string& key, std::vector<RelationPair> value,
-               const ExecContext& ctx);
   std::optional<ScopeValue> GetScopeShared(const std::string& key,
                                            const ExecContext& ctx);
   void PutScopeShared(const std::string& key, ScopeValue value,

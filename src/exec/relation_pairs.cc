@@ -1,62 +1,8 @@
 #include "exec/relation_pairs.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace svqa::exec {
-
-std::vector<RelationPair> FindRelationPairs(
-    const graph::Graph& g, std::span<const graph::VertexId> subjects,
-    std::span<const graph::VertexId> objects, SimClock* clock) {
-  std::vector<RelationPair> pairs;
-  if (subjects.empty() || objects.empty()) return pairs;
-
-  // Join-direction choice: scan the adjacency of the smaller candidate
-  // set and hash-probe the larger one — the traversal cost is
-  // proportional to the scanned side's degree sum.
-  const bool scan_subjects = subjects.size() <= objects.size();
-  const auto& scan = scan_subjects ? subjects : objects;
-  const auto& probe = scan_subjects ? objects : subjects;
-
-  std::unordered_set<graph::VertexId> probe_set(probe.begin(), probe.end());
-  double scanned = 0;
-  for (graph::VertexId v : scan) {
-    for (const auto& he : g.OutEdges(v)) {
-      ++scanned;
-      if (probe_set.count(he.neighbor) > 0) {
-        // Edge v -> neighbor. Subject/object roles depend on which side
-        // we scanned; `forward` records whether the stored edge runs
-        // subject -> object.
-        if (scan_subjects) {
-          pairs.push_back(RelationPair{
-              v, he.neighbor, std::string(g.EdgeLabelName(he.label)), true,
-              he.label});
-        } else {
-          pairs.push_back(RelationPair{
-              he.neighbor, v, std::string(g.EdgeLabelName(he.label)), false,
-              he.label});
-        }
-      }
-    }
-    for (const auto& he : g.InEdges(v)) {
-      ++scanned;
-      if (probe_set.count(he.neighbor) > 0) {
-        // Edge neighbor -> v.
-        if (scan_subjects) {
-          pairs.push_back(RelationPair{
-              v, he.neighbor, std::string(g.EdgeLabelName(he.label)), false,
-              he.label});
-        } else {
-          pairs.push_back(RelationPair{
-              he.neighbor, v, std::string(g.EdgeLabelName(he.label)), true,
-              he.label});
-        }
-      }
-    }
-  }
-  if (clock != nullptr) clock->Charge(CostKind::kEdgeTraverse, scanned);
-  return pairs;
-}
 
 std::vector<RelationPair> FindRelationPairs(
     const graph::FrozenGraph& g, std::span<const graph::VertexId> subjects,
@@ -64,9 +10,11 @@ std::vector<RelationPair> FindRelationPairs(
   std::vector<RelationPair> pairs;
   if (subjects.empty() || objects.empty()) return pairs;
 
-  // Same join-direction choice as the mutable overload; the probe side
-  // is binary-searched in place (candidate sets arrive sorted), so the
-  // only allocations are the output pairs themselves.
+  // Join-direction choice: scan the adjacency of the smaller candidate
+  // set and probe the larger one — the traversal cost is proportional to
+  // the scanned side's degree sum. The probe side is binary-searched in
+  // place (candidate sets arrive sorted), so the only allocations are
+  // the output pairs themselves.
   const bool scan_subjects = subjects.size() <= objects.size();
   const auto& scan = scan_subjects ? subjects : objects;
   const auto& probe = scan_subjects ? objects : subjects;
@@ -92,31 +40,21 @@ std::vector<RelationPair> FindRelationPairs(
     }
   }
   pairs.reserve(matches);
+  // Subject/object roles depend on which side is scanned; `forward`
+  // records whether the stored edge runs subject -> object.
   for (graph::VertexId v : scan) {
-    for (const auto& he : g.OutEdges(v)) {
+    for (const auto& he : g.OutEdges(v)) {  // edge v -> neighbor
       if (in_probe(he.neighbor)) {
-        if (scan_subjects) {
-          pairs.push_back(RelationPair{
-              v, he.neighbor, std::string(g.EdgeLabelName(he.label)), true,
-              he.label});
-        } else {
-          pairs.push_back(RelationPair{
-              he.neighbor, v, std::string(g.EdgeLabelName(he.label)), false,
-              he.label});
-        }
+        pairs.push_back(scan_subjects
+                            ? RelationPair{v, he.neighbor, true, he.label}
+                            : RelationPair{he.neighbor, v, false, he.label});
       }
     }
-    for (const auto& he : g.InEdges(v)) {
+    for (const auto& he : g.InEdges(v)) {  // edge neighbor -> v
       if (in_probe(he.neighbor)) {
-        if (scan_subjects) {
-          pairs.push_back(RelationPair{
-              v, he.neighbor, std::string(g.EdgeLabelName(he.label)), false,
-              he.label});
-        } else {
-          pairs.push_back(RelationPair{
-              he.neighbor, v, std::string(g.EdgeLabelName(he.label)), true,
-              he.label});
-        }
+        pairs.push_back(scan_subjects
+                            ? RelationPair{v, he.neighbor, false, he.label}
+                            : RelationPair{he.neighbor, v, true, he.label});
       }
     }
   }

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <deque>
-#include <unordered_set>
 
+#include "aggregator/merger.h"
 #include "obs/observability.h"
 #include "obs/trace.h"
 #include "text/levenshtein.h"
@@ -12,44 +11,30 @@
 
 namespace svqa::exec {
 
-VertexMatcher::VertexMatcher(const aggregator::MergedGraph* merged,
+VertexMatcher::VertexMatcher(const graph::FrozenGraph* frozen,
                              const text::EmbeddingModel* embeddings,
-                             VertexMatcherOptions options,
-                             const graph::FrozenGraph* frozen)
-    : merged_(merged),
-      embeddings_(embeddings),
-      options_(options),
-      frozen_(frozen) {
-  const graph::Graph& g = merged_->graph;
+                             VertexMatcherOptions options)
+    : frozen_(frozen), embeddings_(embeddings), options_(options) {
   const auto& lexicon = embeddings_->lexicon();
-  taxonomy_children_.resize(static_cast<std::size_t>(g.num_vertices()));
-  if (frozen_ != nullptr) {
-    has_attribute_label_ =
-        frozen_->EdgeLabelIdOf("has-attribute").value_or(graph::kInvalidLabel);
-    canon_category_sym_.resize(static_cast<std::size_t>(g.num_vertices()),
-                               graph::kInvalidSymbol);
-  }
-  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-    const graph::Vertex& vx = g.vertex(v);
-    canon_index_[lexicon.Canonical(vx.category)].push_back(v);
-    if (frozen_ != nullptr) {
-      canon_category_sym_[static_cast<std::size_t>(v)] =
-          frozen_->symbols().Intern(lexicon.Canonical(vx.category));
-    }
-    std::string label = vx.label;
-    if (auto pos = label.find('#'); pos != std::string::npos) {
-      label.resize(pos);
-    }
-    const std::string canon_label = lexicon.Canonical(label);
-    if (canon_label != lexicon.Canonical(vx.category)) {
+  const std::size_t n = frozen_->num_vertices();
+  taxonomy_children_.resize(n);
+  has_attribute_label_ =
+      frozen_->EdgeLabelIdOf("has-attribute").value_or(graph::kInvalidLabel);
+  canon_category_sym_.resize(n, graph::kInvalidSymbol);
+  for (graph::VertexId v = 0; v < n; ++v) {
+    const std::string canon_category = lexicon.Canonical(frozen_->category(v));
+    canon_index_[canon_category].push_back(v);
+    canon_category_sym_[v] = frozen_->symbols().Intern(canon_category);
+    const std::string canon_label =
+        lexicon.Canonical(frozen_->stripped_label(v));
+    if (canon_label != canon_category) {
       canon_index_[canon_label].push_back(v);
     }
-    for (const auto& he : g.InEdges(v)) {
-      const std::string_view el = g.EdgeLabelName(he.label);
+    for (const auto& he : frozen_->InEdges(v)) {
+      const std::string_view el = frozen_->EdgeLabelName(he.label);
       if (el == "is-a" || el == aggregator::kInstanceOfEdge ||
           el == aggregator::kSameAsEdge) {
-        taxonomy_children_[static_cast<std::size_t>(v)].push_back(
-            he.neighbor);
+        taxonomy_children_[v].push_back(he.neighbor);
       }
     }
   }
@@ -72,9 +57,9 @@ std::string VertexMatcher::ScopeKey(const nlp::SpocElement& element) {
 Result<std::vector<graph::VertexId>> VertexMatcher::MatchByLabel(
     const std::string& head, const ExecContext& ctx) const {
   SimClock* clock = ctx.clock;
-  const graph::Graph& g = merged_->graph;
   const auto& lexicon = embeddings_->lexicon();
   const std::string canon = lexicon.Canonical(head);
+  const auto n = static_cast<double>(frozen_->num_vertices());
 
   SVQA_RETURN_NOT_OK(ctx.Checkpoint("matchVertex"));
   if (Status probed = ctx.ProbeFault(FaultSite::kMatcherScan, canon);
@@ -102,10 +87,8 @@ Result<std::vector<graph::VertexId>> VertexMatcher::MatchByLabel(
     // per label (what the scope cache amortizes); charge it as such
     // even when the physical fast path below short-circuits.
     if (clock != nullptr) {
-      clock->Charge(CostKind::kVertexCompare,
-                    static_cast<double>(g.num_vertices()));
-      clock->Charge(CostKind::kLevenshtein,
-                    static_cast<double>(g.num_vertices()));
+      clock->Charge(CostKind::kVertexCompare, n);
+      clock->Charge(CostKind::kLevenshtein, n);
     }
     SVQA_RETURN_NOT_OK(ctx.Checkpoint("matchVertex full scan"));
     if (it != canon_index_.end()) return it->second;
@@ -114,50 +97,30 @@ Result<std::vector<graph::VertexId>> VertexMatcher::MatchByLabel(
   // Fuzzy fallback: normalized Levenshtein over labels and categories.
   if (options_.use_label_index) {
     if (clock != nullptr) {
-      clock->Charge(CostKind::kVertexCompare,
-                    static_cast<double>(g.num_vertices()));
-      clock->Charge(CostKind::kLevenshtein,
-                    static_cast<double>(g.num_vertices()));
+      clock->Charge(CostKind::kVertexCompare, n);
+      clock->Charge(CostKind::kLevenshtein, n);
     }
     // The scan's virtual cost is charged up front, so a budget-blowing
     // scan bails here before burning host time on the physical loop.
     SVQA_RETURN_NOT_OK(ctx.Checkpoint("matchVertex Levenshtein scan"));
   }
-  if (frozen_ != nullptr) {
-    // Id-space scan: the full virtual cost is already on the clock, so
-    // the memos below shed host work only. The whole scan result is a
-    // pure function of `canon` and the snapshot; repeats are shared.
-    if (auto memo = scan_memo_.Get(canon)) {
-      return std::vector<graph::VertexId>(**memo);
-    }
-    const graph::SymbolId canon_sym = frozen_->symbols().Intern(canon);
-    auto scanned = std::make_shared<std::vector<graph::VertexId>>();
-    const graph::VertexId n = frozen_->num_vertices();
-    for (graph::VertexId v = 0; v < n; ++v) {
-      if (LevenshteinWithin(frozen_->stripped_label_symbol(v), canon_sym,
-                            canon) ||
-          LevenshteinWithin(frozen_->category_symbol(v), canon_sym, canon)) {
-        scanned->push_back(v);
-      }
-    }
-    std::vector<graph::VertexId> out(*scanned);
-    scan_memo_.Put(canon, std::move(scanned));
-    return out;
+  // Id-space scan: the full virtual cost is already on the clock, so
+  // the memos below shed host work only. The whole scan result is a pure
+  // function of `canon` and the snapshot; repeats are shared.
+  if (auto memo = scan_memo_.Get(canon)) {
+    return std::vector<graph::VertexId>(**memo);
   }
-  std::vector<graph::VertexId> out;
-  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-    const graph::Vertex& vx = g.vertex(v);
-    std::string_view label = vx.label;
-    if (auto pos = label.find('#'); pos != std::string_view::npos) {
-      label = label.substr(0, pos);
-    }
-    if (text::NormalizedLevenshtein(label, canon) <=
-            options_.levenshtein_threshold ||
-        text::NormalizedLevenshtein(vx.category, canon) <=
-            options_.levenshtein_threshold) {
-      out.push_back(v);
+  const graph::SymbolId canon_sym = frozen_->symbols().Intern(canon);
+  auto scanned = std::make_shared<std::vector<graph::VertexId>>();
+  for (graph::VertexId v = 0; v < frozen_->num_vertices(); ++v) {
+    if (LevenshteinWithin(frozen_->stripped_label_symbol(v), canon_sym,
+                          canon) ||
+        LevenshteinWithin(frozen_->category_symbol(v), canon_sym, canon)) {
+      scanned->push_back(v);
     }
   }
+  std::vector<graph::VertexId> out(*scanned);
+  scan_memo_.Put(canon, std::move(scanned));
   return out;
 }
 
@@ -177,74 +140,38 @@ Status VertexMatcher::ExpandTaxonomy(std::vector<graph::VertexId>* candidates,
                                      const ExecContext& ctx) const {
   SimClock* clock = ctx.clock;
   SVQA_RETURN_NOT_OK(ctx.Checkpoint("taxonomy expansion"));
-  const graph::Graph& g = merged_->graph;
   // Walk down the taxonomy: concept -> (is-a in-edges) -> sub-concepts
   // -> (instance-of in-edges) -> scene objects / entities. The walk
   // follows the per-vertex taxonomy bucket; with the index disabled the
-  // clock is charged for the full in-edge scan the bucket replaces.
+  // clock is charged for the full in-edge scan the bucket replaces. A
+  // byte mask over the vertex table is the visited set and the frontier
+  // is a flat vector with a read head, both scratch from the context's
+  // arena (or a local one when the caller installed none).
+  util::Arena local_arena;
+  util::Arena* arena = ctx.arena != nullptr ? ctx.arena : &local_arena;
+  const std::size_t n = frozen_->num_vertices();
+  auto* seen = static_cast<uint8_t*>(arena->Allocate(n, 1));
+  std::memset(seen, 0, n);
+  util::ArenaVector<graph::VertexId> frontier{
+      util::ArenaAllocator<graph::VertexId>(arena)};
+  for (const graph::VertexId c : *candidates) seen[c] = 1;
+  frontier.assign(candidates->begin(), candidates->end());
   double traversed = 0;
   double probes = 0;
-  if (frozen_ != nullptr) {
-    // Id-space walk: a byte mask over the vertex table replaces the
-    // hash set and the frontier is a flat vector with a read head, both
-    // from the per-query arena when one is installed. Visit order and
-    // charges match the hash-set walk exactly (the mask answers the
-    // same membership queries).
-    const std::size_t n =
-        static_cast<std::size_t>(frozen_->num_vertices());
-    const auto walk = [&](uint8_t* seen, auto& frontier) {
-      for (const graph::VertexId c : *candidates) seen[c] = 1;
-      frontier.assign(candidates->begin(), candidates->end());
-      for (std::size_t head = 0; head < frontier.size(); ++head) {
-        const graph::VertexId v = frontier[head];
-        const auto& children =
-            taxonomy_children_[static_cast<std::size_t>(v)];
-        if (options_.use_label_index) {
-          ++probes;
-          traversed += static_cast<double>(children.size());
-        } else {
-          traversed += static_cast<double>(frozen_->InDegree(v));
-        }
-        for (const graph::VertexId child : children) {
-          if (seen[child] == 0) {
-            seen[child] = 1;
-            candidates->push_back(child);
-            frontier.push_back(child);
-          }
-        }
-      }
-    };
-    if (ctx.arena != nullptr) {
-      auto* seen = static_cast<uint8_t*>(ctx.arena->Allocate(n, 1));
-      std::memset(seen, 0, n);
-      util::ArenaVector<graph::VertexId> frontier{
-          util::ArenaAllocator<graph::VertexId>(ctx.arena)};
-      walk(seen, frontier);
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    const graph::VertexId v = frontier[head];
+    const auto& children = taxonomy_children_[v];
+    if (options_.use_label_index) {
+      ++probes;
+      traversed += static_cast<double>(children.size());
     } else {
-      std::vector<uint8_t> seen(n, 0);
-      std::vector<graph::VertexId> frontier;
-      walk(seen.data(), frontier);
+      traversed += static_cast<double>(frozen_->InDegree(v));
     }
-  } else {
-    std::unordered_set<graph::VertexId> seen(candidates->begin(),
-                                             candidates->end());
-    std::deque<graph::VertexId> frontier(candidates->begin(),
-                                         candidates->end());
-    while (!frontier.empty()) {
-      const graph::VertexId v = frontier.front();
-      frontier.pop_front();
-      const auto& children = taxonomy_children_[static_cast<std::size_t>(v)];
-      if (options_.use_label_index) {
-        ++probes;
-        traversed += static_cast<double>(children.size());
-      } else {
-        traversed += static_cast<double>(g.InEdges(v).size());
-      }
-      for (const graph::VertexId child : children) {
-        if (seen.insert(child).second) {
-          candidates->push_back(child);
-          frontier.push_back(child);
-        }
+    for (const graph::VertexId child : children) {
+      if (seen[child] == 0) {
+        seen[child] = 1;
+        candidates->push_back(child);
+        frontier.push_back(child);
       }
     }
   }
@@ -258,7 +185,7 @@ Status VertexMatcher::ExpandTaxonomy(std::vector<graph::VertexId>* candidates,
 Result<std::pair<int, double>> VertexMatcher::BestEdgeLabel(
     const std::string& head, const ExecContext& ctx) const {
   SimClock* clock = ctx.clock;
-  const auto& labels = merged_->graph.EdgeLabels();
+  const auto& labels = frozen_->EdgeLabels();
   if (options_.memoize_similarity) {
     if (auto hit = edge_label_memo_.Get(head)) {
       if (clock != nullptr) clock->Charge(CostKind::kCacheProbe);
@@ -283,7 +210,6 @@ Result<std::pair<int, double>> VertexMatcher::BestEdgeLabel(
 Result<std::vector<graph::VertexId>> VertexMatcher::MatchPossessive(
     const nlp::SpocElement& element, const ExecContext& ctx) const {
   SimClock* clock = ctx.clock;
-  const graph::Graph& g = merged_->graph;
   // Resolve the owner entity: KG labels are kebab-case
   // ("harry-potter"); the phrase is space-separated.
   std::string owner_label = element.owner;
@@ -294,48 +220,27 @@ Result<std::vector<graph::VertexId>> VertexMatcher::MatchPossessive(
 
   // The KG edge whose label is embedding-closest to the head
   // ("girlfriend" -> "girlfriend-of").
-  const auto& labels = g.EdgeLabels();
   SVQA_ASSIGN_OR_RETURN(const auto best_score,
                         BestEdgeLabel(element.head, ctx));
   const auto [best, score] = best_score;
   if (best < 0 || score < options_.edge_similarity_threshold) {
     return std::vector<graph::VertexId>{};
   }
-  const std::string& edge_label = labels[static_cast<std::size_t>(best)];
+  // Labels and ids are bijective: the index into EdgeLabels() is the id.
+  const auto want = static_cast<graph::LabelId>(best);
 
   // X --girlfriend-of--> owner: collect in-edge sources on the owner.
   std::vector<graph::VertexId> out;
   double traversed = 0;
-  if (frozen_ != nullptr) {
-    // Labels and ids are bijective, so comparing the 32-bit id is the
-    // same predicate as comparing the label text.
-    const auto want = static_cast<graph::LabelId>(best);
-    for (graph::VertexId o : owners) {
-      for (const auto& he : frozen_->InEdges(o)) {
-        ++traversed;
-        if (he.label == want) out.push_back(he.neighbor);
-      }
-      // Also follow out-edges for symmetric relations.
-      for (const auto& he : frozen_->OutEdges(o)) {
-        ++traversed;
-        if (he.label == want) out.push_back(he.neighbor);
-      }
+  for (graph::VertexId o : owners) {
+    for (const auto& he : frozen_->InEdges(o)) {
+      ++traversed;
+      if (he.label == want) out.push_back(he.neighbor);
     }
-  } else {
-    for (graph::VertexId o : owners) {
-      for (const auto& he : g.InEdges(o)) {
-        ++traversed;
-        if (g.EdgeLabelName(he.label) == edge_label) {
-          out.push_back(he.neighbor);
-        }
-      }
-      // Also follow out-edges for symmetric relations.
-      for (const auto& he : g.OutEdges(o)) {
-        ++traversed;
-        if (g.EdgeLabelName(he.label) == edge_label) {
-          out.push_back(he.neighbor);
-        }
-      }
+    // Also follow out-edges for symmetric relations.
+    for (const auto& he : frozen_->OutEdges(o)) {
+      ++traversed;
+      if (he.label == want) out.push_back(he.neighbor);
     }
   }
   if (clock != nullptr) clock->Charge(CostKind::kEdgeTraverse, traversed);
@@ -371,37 +276,19 @@ Result<std::vector<graph::VertexId>> VertexMatcher::Match(
   // Attribute constraint ("red robe"): keep only candidates with a
   // matching has-attribute edge.
   if (!element.attribute.empty()) {
-    const graph::Graph& g = merged_->graph;
-    const auto& lexicon = embeddings_->lexicon();
-    const std::string want = lexicon.Canonical(element.attribute);
+    // Canonical categories were interned at construction, so a wanted
+    // token absent from the table matches no vertex.
+    const std::optional<graph::SymbolId> want_sym = frozen_->symbols().Lookup(
+        embeddings_->lexicon().Canonical(element.attribute));
     std::vector<graph::VertexId> filtered;
     double traversed = 0;
-    if (frozen_ != nullptr) {
-      // Canonical categories were interned at construction, so a wanted
-      // token absent from the table matches no vertex — exactly the
-      // string comparison's outcome.
-      const std::optional<graph::SymbolId> want_sym =
-          frozen_->symbols().Lookup(want);
-      for (graph::VertexId v : out) {
-        for (const auto& he : frozen_->OutEdges(v)) {
-          ++traversed;
-          if (he.label == has_attribute_label_ && want_sym.has_value() &&
-              canon_category_sym_[static_cast<std::size_t>(he.neighbor)] ==
-                  *want_sym) {
-            filtered.push_back(v);
-            break;
-          }
-        }
-      }
-    } else {
-      for (graph::VertexId v : out) {
-        for (const auto& he : g.OutEdges(v)) {
-          ++traversed;
-          if (g.EdgeLabelName(he.label) == "has-attribute" &&
-              lexicon.Canonical(g.vertex(he.neighbor).category) == want) {
-            filtered.push_back(v);
-            break;
-          }
+    for (graph::VertexId v : out) {
+      for (const auto& he : frozen_->OutEdges(v)) {
+        ++traversed;
+        if (he.label == has_attribute_label_ && want_sym.has_value() &&
+            canon_category_sym_[he.neighbor] == *want_sym) {
+          filtered.push_back(v);
+          break;
         }
       }
     }

@@ -22,9 +22,7 @@ GraphSnapshot::GraphSnapshot(uint64_t id, aggregator::MergedGraph merged,
                              std::shared_ptr<graph::SymbolTable> symbols)
     : id_(id),
       merged_(std::move(merged)),
-      frozen_(options.executor.use_frozen_graph
-                  ? merged_.graph.Freeze(std::move(symbols))
-                  : nullptr),
+      frozen_(merged_.graph.Freeze(std::move(symbols))),
       cache_(MakeCache(options)),
       executor_(std::make_unique<exec::QueryGraphExecutor>(
           &merged_, embeddings, cache_.get(), options.executor, frozen_)) {}
@@ -33,9 +31,7 @@ GraphSnapshotStore::GraphSnapshotStore(const text::EmbeddingModel* embeddings,
                                        SnapshotStoreOptions options)
     : embeddings_(embeddings),
       options_(options),
-      symbols_(options.executor.use_frozen_graph
-                   ? std::make_shared<graph::SymbolTable>()
-                   : nullptr) {}
+      symbols_(std::make_shared<graph::SymbolTable>()) {}
 
 SnapshotPtr GraphSnapshotStore::Current() const {
   MutexLock lock(&mu_);

@@ -32,11 +32,14 @@ struct SnapshotStoreOptions {
 };
 
 /// \brief One immutable, self-contained version of the serving state: a
-/// merged graph plus the executor and key-centric cache built over it.
+/// merged graph, the FrozenGraph compiled from it, and the executor and
+/// key-centric cache built over that snapshot.
 ///
-/// The graph and executor wiring never change after construction; the
-/// cache is mutable but internally locked, so any number of workers may
-/// execute against one snapshot concurrently (the executor's documented
+/// The executor reads only the compiled snapshot (exec has one read
+/// path); the mutable merged graph is kept for durability, statistics,
+/// and the next ingest. Neither changes after construction; the cache is
+/// mutable but internally locked, so any number of workers may execute
+/// against one snapshot concurrently (the executor's documented
 /// thread-safety contract). Snapshots are shared as
 /// `shared_ptr<const GraphSnapshot>` — a reader holding one is
 /// completely isolated from later publishes.
@@ -44,15 +47,14 @@ class GraphSnapshot {
  public:
   /// \param symbols global symbol table shared across snapshots (and
   /// with the query side), so one string pool backs every version of
-  /// the graph; nullptr lets the snapshot own a private table. Ignored
-  /// when `options.executor.use_frozen_graph` is off.
+  /// the graph; nullptr lets the snapshot own a private table.
   GraphSnapshot(uint64_t id, aggregator::MergedGraph merged,
                 const text::EmbeddingModel* embeddings,
                 const SnapshotStoreOptions& options,
                 std::shared_ptr<graph::SymbolTable> symbols = nullptr);
 
-  // The executor points into `merged_`/`cache_`, so the snapshot must
-  // never relocate.
+  // The executor points at `cache_`, so the snapshot must never
+  // relocate.
   GraphSnapshot(const GraphSnapshot&) = delete;
   GraphSnapshot& operator=(const GraphSnapshot&) = delete;
 
@@ -62,8 +64,8 @@ class GraphSnapshot {
   const exec::QueryGraphExecutor& executor() const { return *executor_; }
   /// Snapshot-scoped cache; nullptr when caching is disabled.
   exec::KeyCentricCache* cache() const { return cache_.get(); }
-  /// The compiled CSR snapshot the executor reads (nullptr when frozen
-  /// execution is disabled); pinned for this snapshot's lifetime.
+  /// The compiled CSR snapshot the executor reads; pinned for this
+  /// snapshot's lifetime.
   const graph::FrozenGraph* frozen() const { return frozen_.get(); }
 
  private:

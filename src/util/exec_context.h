@@ -44,8 +44,8 @@ struct ExecContext {
   uint32_t attempt = 0;
   /// Per-query scratch arena for executor/matcher intermediates (binding
   /// sets, traversal frontiers). Owned by the driving call, reset
-  /// between queries and retry attempts; nullptr falls back to heap
-  /// vectors. Nothing allocated from it may outlive the query (see
+  /// between queries and retry attempts; nullptr makes each call use a
+  /// local arena. Nothing allocated from it may outlive the query (see
   /// util/arena.h).
   util::Arena* arena = nullptr;
   /// Observability scope for the query this context runs under: the

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -108,26 +109,31 @@ TEST(CacheStressTest, KeyCentricCacheSharedAcrossPoolWorkers) {
   pool.ParallelFor(
       static_cast<std::size_t>(kThreads * 200), [&](std::size_t i) {
         const std::string key = "elem-" + std::to_string(i % 64);
-        auto scope = shared.GetScope(key);
+        auto scope = shared.GetScopeShared(key);
         if (scope.has_value()) {
           // Scope values encode their key index; detect cross-key bleed.
-          ASSERT_EQ(scope->size(), 1u);
-          ASSERT_EQ((*scope)[0],
-                    static_cast<graph::VertexId>(i % 64));
+          ASSERT_EQ((*scope)->size(), 1u);
+          ASSERT_EQ((**scope)[0], static_cast<graph::VertexId>(i % 64));
           scope_hits.fetch_add(1);
         } else {
-          shared.PutScope(
-              key, {static_cast<graph::VertexId>(i % 64)});
+          shared.PutScopeShared(
+              key, std::make_shared<const std::vector<graph::VertexId>>(
+                       1, static_cast<graph::VertexId>(i % 64)));
         }
 
-        auto path = shared.GetPath(key);
+        auto path = shared.GetPathShared(key);
         if (path.has_value()) {
+          // Path values encode their key index too.
+          ASSERT_EQ((*path)->size(), 1u);
+          ASSERT_EQ((**path)[0].subject, static_cast<graph::VertexId>(i % 64));
           path_hits.fetch_add(1);
         } else {
           exec::RelationPair rp;
           rp.subject = static_cast<graph::VertexId>(i % 64);
           rp.object = static_cast<graph::VertexId>((i + 1) % 64);
-          shared.PutPath(key, {rp});
+          shared.PutPathShared(
+              key, std::make_shared<const std::vector<exec::RelationPair>>(
+                       1, rp));
         }
       });
   pool.WaitIdle();
@@ -157,8 +163,10 @@ TEST(CacheStressTest, KeyCentricCacheStatsReadersRaceWriters) {
     writers.emplace_back([&shared, t] {
       for (int i = 0; i < kOpsPerThread; ++i) {
         const std::string key = "k" + std::to_string((t * 13 + i) % 128);
-        if (!shared.GetScope(key).has_value()) {
-          shared.PutScope(key, {static_cast<graph::VertexId>(i)});
+        if (!shared.GetScopeShared(key).has_value()) {
+          shared.PutScopeShared(
+              key, std::make_shared<const std::vector<graph::VertexId>>(
+                       1, static_cast<graph::VertexId>(i)));
         }
       }
     });

@@ -177,7 +177,8 @@ TEST(ColorConstraintTest, MatcherFiltersByAttribute) {
       data::BuildKnowledgeGraph(world, text::SynonymLexicon::Default());
   const auto merged = data::BuildPerfectMergedGraph(world, kg);
   text::EmbeddingModel embeddings(text::SynonymLexicon::Default());
-  exec::VertexMatcher matcher(&merged, &embeddings);
+  const auto frozen = merged.graph.Freeze();
+  exec::VertexMatcher matcher(frozen.get(), &embeddings);
 
   nlp::SpocElement any_robe;
   any_robe.head = "robe";

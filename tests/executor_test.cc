@@ -8,6 +8,7 @@
 #include "exec/relation_pairs.h"
 #include "exec/vertex_matcher.h"
 #include "text/lexicon.h"
+#include "util/fault_injector.h"
 
 namespace svqa::exec {
 namespace {
@@ -51,9 +52,11 @@ class ExecutorFixture : public ::testing::Test {
     merged_ = new aggregator::MergedGraph(
         data::BuildPerfectMergedGraph(*world_, *kg_));
     embeddings_ = new text::EmbeddingModel(text::SynonymLexicon::Default());
+    frozen_ = merged_->graph.Freeze();
   }
 
   static void TearDownTestSuite() {
+    frozen_.reset();
     delete merged_;
     delete kg_;
     delete world_;
@@ -68,19 +71,21 @@ class ExecutorFixture : public ::testing::Test {
   static graph::Graph* kg_;
   static aggregator::MergedGraph* merged_;
   static text::EmbeddingModel* embeddings_;
+  static std::shared_ptr<const graph::FrozenGraph> frozen_;
 };
 
 data::World* ExecutorFixture::world_ = nullptr;
 graph::Graph* ExecutorFixture::kg_ = nullptr;
 aggregator::MergedGraph* ExecutorFixture::merged_ = nullptr;
 text::EmbeddingModel* ExecutorFixture::embeddings_ = nullptr;
+std::shared_ptr<const graph::FrozenGraph> ExecutorFixture::frozen_;
 
 // ---------------------------------------------------------------------------
 // VertexMatcher
 // ---------------------------------------------------------------------------
 
 TEST_F(ExecutorFixture, MatcherFindsCategoryInstances) {
-  VertexMatcher matcher(merged_, embeddings_);
+  VertexMatcher matcher(frozen_.get(), embeddings_);
   const auto dogs = matcher.Match(El("dog"));
   ASSERT_FALSE(dogs.empty());
   int scene_instances = 0;
@@ -95,7 +100,7 @@ TEST_F(ExecutorFixture, MatcherFindsCategoryInstances) {
 }
 
 TEST_F(ExecutorFixture, MatcherExpandsTaxonomy) {
-  VertexMatcher matcher(merged_, embeddings_);
+  VertexMatcher matcher(frozen_.get(), embeddings_);
   // "animal" reaches dog/cat/bird scene objects through the KG taxonomy.
   const auto animals = matcher.Match(El("animal"));
   bool found_dog = false, found_cat = false;
@@ -109,13 +114,13 @@ TEST_F(ExecutorFixture, MatcherExpandsTaxonomy) {
 }
 
 TEST_F(ExecutorFixture, MatcherSynonymsResolve) {
-  VertexMatcher matcher(merged_, embeddings_);
+  VertexMatcher matcher(frozen_.get(), embeddings_);
   // "puppy" is a synonym of dog: the canonical index must resolve it.
   EXPECT_FALSE(matcher.Match(El("puppy")).empty());
 }
 
 TEST_F(ExecutorFixture, MatcherResolvesNamedEntity) {
-  VertexMatcher matcher(merged_, embeddings_);
+  VertexMatcher matcher(frozen_.get(), embeddings_);
   const auto harrys = matcher.Match(El("harry-potter"));
   ASSERT_FALSE(harrys.empty());
   bool kg_vertex = false, scene_vertex = false;
@@ -133,7 +138,7 @@ TEST_F(ExecutorFixture, MatcherResolvesNamedEntity) {
 }
 
 TEST_F(ExecutorFixture, MatcherResolvesPossessive) {
-  VertexMatcher matcher(merged_, embeddings_);
+  VertexMatcher matcher(frozen_.get(), embeddings_);
   // Harry's girlfriends are ginny and cho by world construction.
   const auto gfs =
       matcher.Match(El("girlfriend", false, false, "harry potter"));
@@ -149,19 +154,19 @@ TEST_F(ExecutorFixture, MatcherResolvesPossessive) {
 }
 
 TEST_F(ExecutorFixture, MatcherEmptyElementYieldsNothing) {
-  VertexMatcher matcher(merged_, embeddings_);
+  VertexMatcher matcher(frozen_.get(), embeddings_);
   EXPECT_TRUE(matcher.Match(El("")).empty());
 }
 
 TEST_F(ExecutorFixture, MatcherUnknownHeadYieldsNothing) {
-  VertexMatcher matcher(merged_, embeddings_);
+  VertexMatcher matcher(frozen_.get(), embeddings_);
   EXPECT_TRUE(matcher.Match(El("unobtainium")).empty());
 }
 
 TEST_F(ExecutorFixture, MatcherChargesScanCostsWithoutIndex) {
   VertexMatcherOptions opts;
   opts.use_label_index = false;
-  VertexMatcher matcher(merged_, embeddings_, opts);
+  VertexMatcher matcher(frozen_.get(), embeddings_, opts);
   SimClock clock;
   matcher.Match(El("dog"), &clock);
   // The pre-index model charges a full scan regardless of the physical
@@ -173,7 +178,7 @@ TEST_F(ExecutorFixture, MatcherChargesScanCostsWithoutIndex) {
 }
 
 TEST_F(ExecutorFixture, MatcherIndexChargesBucketProbe) {
-  VertexMatcher matcher(merged_, embeddings_);  // index on by default
+  VertexMatcher matcher(frozen_.get(), embeddings_);  // index on by default
   SimClock clock;
   const auto matches = matcher.Match(El("dog"), &clock);
   ASSERT_FALSE(matches.empty());
@@ -186,7 +191,7 @@ TEST_F(ExecutorFixture, MatcherIndexChargesBucketProbe) {
 }
 
 TEST_F(ExecutorFixture, MatcherIndexNearMissFallsBackToFullScan) {
-  VertexMatcher matcher(merged_, embeddings_);
+  VertexMatcher matcher(frozen_.get(), embeddings_);
   SimClock clock;
   // "dogg" is a near-miss key: no exact bucket, so the Levenshtein scan
   // runs (and is charged) exactly as in the unindexed model.
@@ -196,7 +201,7 @@ TEST_F(ExecutorFixture, MatcherIndexNearMissFallsBackToFullScan) {
 
   VertexMatcherOptions opts;
   opts.use_label_index = false;
-  VertexMatcher scan_matcher(merged_, embeddings_, opts);
+  VertexMatcher scan_matcher(frozen_.get(), embeddings_, opts);
   EXPECT_EQ(indexed, scan_matcher.Match(El("dogg")));
 }
 
@@ -218,23 +223,25 @@ TEST(RelationPairsTest, FindsForwardAndBackwardEdges) {
   const auto c = g.AddVertex("c", "t");
   ASSERT_TRUE(g.AddEdge(a, b, "r").ok());
   ASSERT_TRUE(g.AddEdge(c, a, "s").ok());
+  const auto frozen = g.Freeze();
   const std::vector<graph::VertexId> subs = {a};
   const std::vector<graph::VertexId> objs = {b, c};
-  const auto pairs = FindRelationPairs(g, subs, objs);
+  const auto pairs = FindRelationPairs(*frozen, subs, objs);
   ASSERT_EQ(pairs.size(), 2u);
-  EXPECT_EQ(pairs[0].predicate, "r");
+  EXPECT_EQ(frozen->EdgeLabelName(pairs[0].label), "r");
   EXPECT_TRUE(pairs[0].forward);
-  EXPECT_EQ(pairs[1].predicate, "s");
+  EXPECT_EQ(frozen->EdgeLabelName(pairs[1].label), "s");
   EXPECT_FALSE(pairs[1].forward);
 }
 
 TEST(RelationPairsTest, EmptyInputsYieldNothing) {
   graph::Graph g;
   g.AddVertex("a", "t");
+  const auto frozen = g.Freeze();
   const std::vector<graph::VertexId> none;
   const std::vector<graph::VertexId> zero = {0};
-  EXPECT_TRUE(FindRelationPairs(g, none, zero).empty());
-  EXPECT_TRUE(FindRelationPairs(g, zero, none).empty());
+  EXPECT_TRUE(FindRelationPairs(*frozen, none, zero).empty());
+  EXPECT_TRUE(FindRelationPairs(*frozen, zero, none).empty());
 }
 
 TEST(RelationPairsTest, ChargesTraversalCosts) {
@@ -242,10 +249,11 @@ TEST(RelationPairsTest, ChargesTraversalCosts) {
   const auto a = g.AddVertex("a", "t");
   const auto b = g.AddVertex("b", "t");
   ASSERT_TRUE(g.AddEdge(a, b, "r").ok());
+  const auto frozen = g.Freeze();
   SimClock clock;
   const std::vector<graph::VertexId> subs = {a};
   const std::vector<graph::VertexId> objs = {b};
-  FindRelationPairs(g, subs, objs, &clock);
+  FindRelationPairs(*frozen, subs, objs, &clock);
   EXPECT_GT(clock.OpCount(CostKind::kEdgeTraverse), 0);
 }
 
@@ -384,42 +392,53 @@ TEST_F(ExecutorFixture, CacheDoesNotChangeAnswers) {
 // KeyCentricCache unit behaviour
 // ---------------------------------------------------------------------------
 
+ScopeValue Scope(std::vector<graph::VertexId> vertices) {
+  return std::make_shared<const std::vector<graph::VertexId>>(
+      std::move(vertices));
+}
+
+PathValue Path(std::vector<RelationPair> pairs) {
+  return std::make_shared<const std::vector<RelationPair>>(std::move(pairs));
+}
+
 TEST(KeyCentricCacheTest, ScopeRoundTrip) {
   KeyCentricCache cache(KeyCentricCacheOptions{});
-  EXPECT_FALSE(cache.GetScope("k").has_value());
-  cache.PutScope("k", {1, 2, 3});
-  auto hit = cache.GetScope("k");
+  EXPECT_FALSE(cache.GetScopeShared("k").has_value());
+  cache.PutScopeShared("k", Scope({1, 2, 3}));
+  auto hit = cache.GetScopeShared("k");
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, (std::vector<graph::VertexId>{1, 2, 3}));
+  EXPECT_EQ(**hit, (std::vector<graph::VertexId>{1, 2, 3}));
 }
 
 TEST(KeyCentricCacheTest, PathRoundTrip) {
   KeyCentricCache cache(KeyCentricCacheOptions{});
-  cache.PutPath("p", {RelationPair{1, 2, "wear", true}});
-  auto hit = cache.GetPath("p");
+  cache.PutPathShared("p", Path({RelationPair{1, 2, true, 7}}));
+  auto hit = cache.GetPathShared("p");
   ASSERT_TRUE(hit.has_value());
-  ASSERT_EQ(hit->size(), 1u);
-  EXPECT_EQ((*hit)[0].predicate, "wear");
+  ASSERT_EQ((*hit)->size(), 1u);
+  EXPECT_EQ((**hit)[0].label, 7u);
+  // Hits share the stored entry; nothing is copied out.
+  EXPECT_EQ(hit->get(), cache.GetPathShared("p")->get());
 }
 
 TEST(KeyCentricCacheTest, DisabledGranularityMisses) {
   KeyCentricCacheOptions opts;
   opts.enable_scope = false;
   KeyCentricCache cache(opts);
-  cache.PutScope("k", {1});
-  EXPECT_FALSE(cache.GetScope("k").has_value());
-  cache.PutPath("p", {});
-  EXPECT_TRUE(cache.GetPath("p").has_value());
+  cache.PutScopeShared("k", Scope({1}));
+  EXPECT_FALSE(cache.GetScopeShared("k").has_value());
+  cache.PutPathShared("p", Path({}));
+  EXPECT_TRUE(cache.GetPathShared("p").has_value());
 }
 
 TEST(KeyCentricCacheTest, ZeroCapacityDisablesBoth) {
   KeyCentricCacheOptions opts;
   opts.capacity = 0;
   KeyCentricCache cache(opts);
-  cache.PutScope("k", {1});
-  cache.PutPath("p", {});
-  EXPECT_FALSE(cache.GetScope("k").has_value());
-  EXPECT_FALSE(cache.GetPath("p").has_value());
+  cache.PutScopeShared("k", Scope({1}));
+  cache.PutPathShared("p", Path({}));
+  EXPECT_FALSE(cache.GetScopeShared("k").has_value());
+  EXPECT_FALSE(cache.GetPathShared("p").has_value());
 }
 
 TEST(KeyCentricCacheTest, LruPolicySelectable) {
@@ -427,19 +446,42 @@ TEST(KeyCentricCacheTest, LruPolicySelectable) {
   opts.policy = CachePolicy::kLru;
   opts.capacity = 1;
   KeyCentricCache cache(opts);
-  cache.PutScope("a", {1});
-  cache.PutScope("b", {2});
-  EXPECT_FALSE(cache.GetScope("a").has_value());
-  EXPECT_TRUE(cache.GetScope("b").has_value());
+  cache.PutScopeShared("a", Scope({1}));
+  cache.PutScopeShared("b", Scope({2}));
+  EXPECT_FALSE(cache.GetScopeShared("a").has_value());
+  EXPECT_TRUE(cache.GetScopeShared("b").has_value());
+  EXPECT_EQ(cache.ScopeStats().evictions, 1u);
 }
 
 TEST(KeyCentricCacheTest, StatsTrackHitsAndMisses) {
   KeyCentricCache cache(KeyCentricCacheOptions{});
-  cache.GetScope("x");
-  cache.PutScope("x", {});
-  cache.GetScope("x");
+  cache.GetScopeShared("x");
+  cache.PutScopeShared("x", Scope({}));
+  cache.GetScopeShared("x");
   EXPECT_EQ(cache.ScopeStats().hits, 1u);
   EXPECT_EQ(cache.ScopeStats().misses, 1u);
+}
+
+TEST(KeyCentricCacheTest, InjectedFaultDegradesToChargedMiss) {
+  KeyCentricCache cache(KeyCentricCacheOptions{});
+  cache.PutScopeShared("k", Scope({1}));
+  cache.PutPathShared("p", Path({}));
+  FaultConfig config;
+  config.rates[static_cast<int>(FaultSite::kCacheOp)] = 1.0;
+  const FaultInjector injector(7, config);
+  SimClock clock;
+  ExecContext ctx = ExecContext::WithClock(&clock);
+  ctx.faults = &injector;
+  // A faulted Get is a miss that still pays its probe; a faulted Put
+  // drops the write. Neither fails the caller.
+  EXPECT_FALSE(cache.GetScopeShared("k", ctx).has_value());
+  EXPECT_FALSE(cache.GetPathShared("p", ctx).has_value());
+  EXPECT_DOUBLE_EQ(clock.OpCount(CostKind::kCacheProbe), 2);
+  cache.PutScopeShared("dropped", Scope({2}), ctx);
+  EXPECT_FALSE(cache.GetScopeShared("dropped").has_value());
+  // Stored entries are intact for fault-free readers.
+  EXPECT_TRUE(cache.GetScopeShared("k", ExecContext{}).has_value());
+  EXPECT_TRUE(cache.GetPathShared("p").has_value());
 }
 
 TEST(KeyCentricCacheTest, PolicyNames) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -46,6 +47,7 @@ class LabelIndexFixture : public ::testing::TestWithParam<uint64_t> {
     world_ = data::WorldGenerator(opts).Generate();
     kg_ = data::BuildKnowledgeGraph(world_, text::SynonymLexicon::Default());
     merged_ = data::BuildPerfectMergedGraph(world_, kg_);
+    frozen_ = merged_.graph.Freeze();
     embeddings_ = text::EmbeddingModel(text::SynonymLexicon::Default());
   }
 
@@ -87,6 +89,7 @@ class LabelIndexFixture : public ::testing::TestWithParam<uint64_t> {
   data::World world_;
   graph::Graph kg_;
   aggregator::MergedGraph merged_;
+  std::shared_ptr<const graph::FrozenGraph> frozen_;
   text::EmbeddingModel embeddings_{text::SynonymLexicon::Default()};
 };
 
@@ -95,8 +98,8 @@ TEST_P(LabelIndexFixture, IndexedMatchEqualsFullScan) {
   VertexMatcherOptions scan_opts;
   scan_opts.use_label_index = false;
   scan_opts.memoize_similarity = false;
-  const VertexMatcher indexed(&merged_, &embeddings_, indexed_opts);
-  const VertexMatcher scan(&merged_, &embeddings_, scan_opts);
+  const VertexMatcher indexed(frozen_.get(), &embeddings_, indexed_opts);
+  const VertexMatcher scan(frozen_.get(), &embeddings_, scan_opts);
 
   for (const auto& element : ProbeElements()) {
     SimClock indexed_clock;
@@ -113,7 +116,7 @@ TEST_P(LabelIndexFixture, IndexedMatchEqualsFullScan) {
 }
 
 TEST_P(LabelIndexFixture, ExactLabelsSkipTheLevenshteinScan) {
-  const VertexMatcher indexed(&merged_, &embeddings_);
+  const VertexMatcher indexed(frozen_.get(), &embeddings_);
   const auto vocab = data::Vocabulary::Default();
   for (const auto& category : vocab.object_categories) {
     SimClock clock;
@@ -128,7 +131,7 @@ TEST_P(LabelIndexFixture, ExactLabelsSkipTheLevenshteinScan) {
 }
 
 TEST_P(LabelIndexFixture, RepeatedPossessivesHitTheSimilarityMemo) {
-  const VertexMatcher matcher(&merged_, &embeddings_);
+  const VertexMatcher matcher(frozen_.get(), &embeddings_);
   nlp::SpocElement poss = El("girlfriend");
   poss.owner = "harry potter";
   SimClock first;
